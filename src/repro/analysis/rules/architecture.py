@@ -68,15 +68,15 @@ LAYERING: dict[str, frozenset[str]] = {
     ),
     # The sharded scale-out layer composes existing machinery: it may see
     # the deployment/partitioning surface (core), zone-map synopses
-    # (stats), the ship pipeline and oblivious padding, and the TPC-H
-    # generator for partition-aware loading.  Its repro.sql surface is
-    # pinned by ARCH010 to the value semantics and record wire format —
-    # parsing and planning happen through repro.core — and it must never
-    # touch crypto or TEE machinery: each shard's keys and anchors live
-    # behind its engines.
+    # (stats), and the TPC-H generator for partition-aware loading.  The
+    # ship machinery (streaming pipeline, oblivious padding) lives only
+    # in core's one split path, so shard may not import it and fork a
+    # second copy.  Its repro.sql surface is pinned by ARCH010 to the
+    # value semantics and record wire format — parsing and planning
+    # happen through repro.core — and it must never touch crypto or TEE
+    # machinery: each shard's keys and anchors live behind its engines.
     "shard": frozenset(
-        {"errors", "sim", "stats", "telemetry", "perf", "stream",
-         "oblivious", "sql", "tpch", "core"}
+        {"errors", "sim", "stats", "telemetry", "perf", "sql", "tpch", "core"}
     ),
     # The analyzer lints trees that may not import; it depends on nothing.
     "analysis": frozenset(),

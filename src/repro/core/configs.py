@@ -36,6 +36,9 @@ STRATEGIES = ("manual", "auto")
 class RunConfig:
     """Ship-path execution knobs for the split configurations (vcs/scs).
 
+    One run config applies to every storage node of a deployment alike
+    (``Deployment.nodes``: one node, or one per shard); ``pipeline``
+    picks which of the split path's two ship producers runs.
     ``RunConfig()`` selects the streaming pipeline: bounded RecordBatches
     off the operator iterator, overlapped (storage scan | channel crypto |
     host ingest) time accounting, and optionally transparent per-batch

@@ -11,10 +11,11 @@ returning simulated-time breakdowns and resource meters.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from ..crypto import Rng, sha256
-from ..errors import IronSafeError, MonitorError
+from ..errors import IntegrityError, IronSafeError, MonitorError
 from ..monitor import AttestationService, AttestedNode, ComplianceProof, TrustedMonitor
 from ..oblivious import (
     ShipSchedule,
@@ -40,6 +41,7 @@ from ..sim import (
 from ..sql import Database, PagedStore
 from ..sql import ast_nodes as A
 from ..sql.parser import parse
+from ..sql.records import encode_row
 from ..storage import BlockDevice, InMemoryAnchor, Pager, SecurePager
 from ..stream import BatchTiming, apportion_ns, pack_frame, pipelined_ns, unpack_frame
 from ..telemetry import (
@@ -72,7 +74,7 @@ from ..tpch import load_tpch
 from .channel import channel_pair
 from .configs import CONFIGS, SERIAL_RUN_CONFIG, RunConfig
 from .host_engine import RECORD_ROWS, HostEngine
-from .partitioner import QueryPartitioner
+from .partitioner import ManualShip, QueryPartitioner
 from .storage_engine import StorageEngine
 
 HOST_ENGINE_IMAGE = b"ironsafe-host-engine v1.0 (query engine + partitioner)"
@@ -137,13 +139,15 @@ class RunResult:
 
 @dataclass
 class StorageNode:
-    """One additional storage server of a sharded deployment.
+    """One storage server of a deployment (``Deployment.nodes``).
 
-    Each node is provisioned exactly like the primary: its own TrustZone
+    A plain deployment has exactly one, the primary ``storage-1``; a
+    sharded deployment appends more.  Every node has its own TrustZone
     device (so its own secure-boot state, RPMB anchor and master-key
     domain), its own NVMe block devices, and its own secure/plain engine
     pair.  Integrity violations on its pager are attributed to its
-    ``node_id`` in the monitor's audit chain.
+    ``node_id`` in the monitor's audit chain; *endpoint* names its end of
+    the host↔storage link.
     """
 
     node_id: str
@@ -151,6 +155,36 @@ class StorageNode:
     engine_plain: StorageEngine
     secure_device: BlockDevice
     plain_device: BlockDevice
+    endpoint: str
+
+
+@dataclass
+class _Shipped:
+    """One portion shipped from one node, as its ship producer reports it."""
+
+    #: The portion's wall time: its scan (serial), or its pipeline makespan.
+    duration_ns: float
+    #: Its stages back to back (equal to ``duration_ns`` when serial).
+    serial_ns: float
+    nbytes: int
+    batches: int = 0
+    #: Host ingest work overlapped into the storage phase (pipelined only).
+    ingest: TimeBreakdown = field(default_factory=TimeBreakdown)
+
+
+@dataclass
+class _Lane:
+    """One node's side of one split run: its engine, channel and tallies."""
+
+    node: StorageNode
+    engine: StorageEngine
+    #: ``(host end, storage end)`` of the attested channel; None under vcs.
+    channel: tuple | None
+    ship_meter: Meter = field(default_factory=Meter)
+    meter: Meter = field(default_factory=Meter)
+    durations: list[float] = field(default_factory=list)
+    serial_ns: float = 0.0
+    ingest: TimeBreakdown = field(default_factory=TimeBreakdown)
 
 
 @dataclass
@@ -207,7 +241,12 @@ class ConcurrentRunResult:
 
 
 class Deployment:
-    """A complete simulated CSA testbed with one host and one storage server."""
+    """A complete simulated CSA testbed: one host and its storage nodes.
+
+    ``self.nodes`` holds the storage servers; a plain deployment has one
+    (the paper's testbed), and every query path runs over the list, so a
+    sharded deployment only appends nodes and routes scans among them.
+    """
 
     def __init__(
         self,
@@ -330,7 +369,17 @@ class Deployment:
         self._obsv: ObservableRecorder | None = None
         # Storage-side integrity failures are reported to the monitor so
         # tampering attempts land in the hash-chained operations log.
-        self.storage_engine.pager.on_violation = self._storage_violation
+        self.storage_engine.pager.on_violation = self._node_violation("storage-1")
+        self.nodes: list[StorageNode] = [
+            StorageNode(
+                node_id="storage-1",
+                engine=self.storage_engine,
+                engine_plain=self.storage_engine_plain,
+                secure_device=self.secure_device,
+                plain_device=self.plain_device,
+                endpoint="storage",
+            )
+        ]
         self._bind_tracer()
 
     # ------------------------------------------------------------------
@@ -341,8 +390,9 @@ class Deployment:
         """Propagate the deployment's tracer to every instrumented layer."""
         self.monitor.tracer = self.tracer
         self.host_engine.tracer = self.tracer
-        self.storage_engine.tracer = self.tracer
-        self.storage_engine_plain.tracer = self.tracer
+        for node in self.nodes:
+            node.engine.tracer = self.tracer
+            node.engine_plain.tracer = self.tracer
         # Re-attach the observable-event recorder when the tracer changes
         # out from under it.  Only ever on an *enabled* tracer: NOOP_TRACER
         # is a shared singleton, and hanging a recorder off it would leak
@@ -382,8 +432,9 @@ class Deployment:
         )
         self._obsv = recorder
         self.tracer.obsv = recorder
-        self.secure_device.obsv = recorder
-        self.plain_device.obsv = recorder
+        for node in self.nodes:
+            node.secure_device.obsv = recorder
+            node.plain_device.obsv = recorder
         return recorder
 
     # ------------------------------------------------------------------
@@ -400,24 +451,22 @@ class Deployment:
         to the paper baseline.
         """
         self.page_cache_pages = capacity_pages
-        self.storage_engine.enable_page_cache(capacity_pages)
+        for node in self.nodes:
+            node.engine.enable_page_cache(capacity_pages)
 
     def disable_page_cache(self) -> None:
         """Flush and drop the cache, restoring verify-every-read behavior."""
         self.page_cache_pages = 0
-        self.storage_engine.disable_page_cache()
-
-    def _storage_violation(self, pgno: int, reason: str) -> None:
-        """Secure-pager hook: audit integrity failures before they raise."""
-        self.monitor.record_integrity_violation("storage-1", pgno, reason)
-        self._flight_dump("storage-1", pgno, reason)
+        for node in self.nodes:
+            node.engine.disable_page_cache()
 
     def _node_violation(self, node_id: str):
-        """Violation hook bound to one storage node's identity.
+        """Secure-pager hook bound to one node's identity.
 
-        Sharded deployments install one per shard, so a tampered page is
-        attributed to the owning node in the audit chain and the flight
-        recorder's incident report.
+        Every storage node's pager gets one (and a host-only run's pager
+        one for ``host-1``), so a tampered page is audited against the
+        owning node in the monitor's chain and the flight recorder's
+        incident report before the integrity error raises.
         """
 
         def hook(pgno: int, reason: str) -> None:
@@ -425,11 +474,6 @@ class Deployment:
             self._flight_dump(node_id, pgno, reason)
 
         return hook
-
-    def _host_violation(self, pgno: int, reason: str) -> None:
-        """Host-side pager hook (host-only secure configuration)."""
-        self.monitor.record_integrity_violation("host-1", pgno, reason)
-        self._flight_dump("host-1", pgno, reason)
 
     def _flight_dump(self, node: str, pgno: int, reason: str) -> None:
         """Dump one flight-recorder incident for a just-audited violation.
@@ -468,7 +512,7 @@ class Deployment:
     # ------------------------------------------------------------------
 
     def add_storage_node(self, node_id: str) -> StorageNode:
-        """Provision one more storage server, trust-isolated from the rest.
+        """Provision one more storage server and append it to ``nodes``.
 
         The node gets its own vendor-provisioned TrustZone device (its
         own secure boot, its own RPMB, its own secure-storage master key
@@ -503,20 +547,27 @@ class Deployment:
         if self._obsv is not None:
             secure_device.obsv = self._obsv
             plain_device.obsv = self._obsv
-        return StorageNode(
+        node = StorageNode(
             node_id=node_id,
             engine=engine,
             engine_plain=engine_plain,
             secure_device=secure_device,
             plain_device=plain_device,
+            endpoint=node_id,
         )
+        self.nodes.append(node)
+        return node
 
     # ------------------------------------------------------------------
     # Attestation (Table 4 path)
     # ------------------------------------------------------------------
 
     def attest_all(self) -> dict[str, AttestedNode]:
-        """Run both attestation protocols and register the nodes."""
+        """Run both attestation protocols and register the nodes.
+
+        Returns the host under ``"host"``, the primary storage node under
+        ``"storage"`` and every further node under its ``node_id``.
+        """
         with self.tracer.maybe_root(
             SPAN_ATTESTATION, node=NODE_MONITOR, enclave=True
         ) as span:
@@ -527,12 +578,16 @@ class Deployment:
             )
             self.monitor.register_host(host_node)
 
-            storage_node = self.attest_storage_node(self.storage_engine)
+            attested = {"host": host_node}
+            for index, node in enumerate(self.nodes):
+                key = "storage" if index == 0 else node.node_id
+                attested[key] = self.attest_storage_node(node.engine)
             self._attested = True
             span.set_attrs(
-                host=host_node.config.node_id, storage=storage_node.config.node_id
+                host=host_node.config.node_id,
+                storage=attested["storage"].config.node_id,
             )
-            return {"host": host_node, "storage": storage_node}
+            return attested
 
     def attest_storage_node(self, engine: StorageEngine) -> AttestedNode:
         """Attest one storage engine and register it with the monitor.
@@ -562,14 +617,8 @@ class Deployment:
         authorization=None,
         run_config: RunConfig | None = None,
     ) -> RunResult:
-        if config not in CONFIGS:
-            raise IronSafeError(f"unknown configuration {config!r} (know {sorted(CONFIGS)})")
-        statement = self.parse_select(sql)
-        cpus = storage_cpus if storage_cpus is not None else self.storage_cpus
-        memory = (
-            storage_memory_bytes
-            if storage_memory_bytes is not None
-            else self.storage_memory_bytes
+        statement, cpus, memory = self._resolve_request(
+            sql, config, storage_cpus, storage_memory_bytes
         )
         run_config = run_config if run_config is not None else self.run_config
         if run_config.strategy != "manual":
@@ -603,6 +652,18 @@ class Deployment:
             )
         self._absorb_run_metrics(result, config)
         return result
+
+    def _resolve_request(
+        self, sql: str, config: str, storage_cpus: int | None,
+        storage_memory_bytes: int | None,
+    ) -> tuple[A.Select, int, int]:
+        """Validate one request: its statement, storage CPUs and memory."""
+        if config not in CONFIGS:
+            raise IronSafeError(f"unknown configuration {config!r} (know {sorted(CONFIGS)})")
+        cpus = storage_cpus if storage_cpus is not None else self.storage_cpus
+        if storage_memory_bytes is None:
+            storage_memory_bytes = self.storage_memory_bytes
+        return self.parse_select(sql), cpus, storage_memory_bytes
 
     @staticmethod
     def parse_select(sql: str) -> A.Select:
@@ -679,6 +740,22 @@ class Deployment:
                 self._obsv.take_meter_delta(), node="obsv", phase=config
             )
 
+    def _authorize(self, statement: A.Select, query_text: str, client_key=None):
+        """The monitor's admission path: policy check and a fresh session.
+
+        *client_key* defaults to this deployment's provisioned client.
+        """
+        return self.monitor.authorize(
+            self.database_name,
+            client_key=(
+                client_key if client_key is not None else self._client_fingerprint()
+            ),
+            statement=statement,
+            host_id="host-1",
+            now=0,
+            query_text=query_text,
+        )
+
     # -- concurrent multi-session execution ---------------------------------
 
     def run_concurrent(
@@ -731,23 +808,9 @@ class Deployment:
                 if cfg == "scs":
                     if not self._attested:
                         self.attest_all()
-                    statement = parse(sql)
-                    if not isinstance(statement, A.Select):
-                        raise IronSafeError(
-                            "the evaluation harness runs SELECT statements"
-                        )
+                    statement = self.parse_select(sql)
                     clock_before = self.clock.breakdown.copy()
-                    auth = self.monitor.authorize(
-                        self.database_name,
-                        client_key=(
-                            client_key if client_key is not None
-                            else self._client_fingerprint()
-                        ),
-                        statement=statement,
-                        host_id="host-1",
-                        now=0,
-                        query_text=sql,
-                    )
+                    auth = self._authorize(statement, sql, client_key)
                     monitor_breakdown = self.clock.breakdown.minus(clock_before)
                     session_id = auth.session.session_id
                     key_digest = sha256(auth.session.key).hex()[:16]
@@ -816,28 +879,37 @@ class Deployment:
             )
         return outcome
 
+    def _set_knobs(self, run_config: RunConfig, engines) -> None:
+        """Apply one run's knobs to *engines* and to the host engine.
+
+        Every query path sets them explicitly from its run config, so a
+        knob never leaks from one query into the next.
+        """
+        for engine in engines:
+            engine.set_zone_maps(run_config.zone_maps)
+            engine.set_oblivious(run_config.oblivious)
+            engine.set_vectorized(run_config.vectorized)
+        self.host_engine.set_oblivious(run_config.oblivious)
+        self.host_engine.set_vectorized(run_config.vectorized)
+
     # -- host-only (hons / hos) ---------------------------------------------
 
     def _host_only_db(
-        self,
-        secure: bool,
-        engine: StorageEngine | None = None,
-        plain_device: BlockDevice | None = None,
-        rng_label: str = "host-pager",
+        self, secure: bool, run_config: RunConfig, node: StorageNode | None = None
     ):
-        """Open the shared device from the host side (NFS-style).
+        """Open a node's device from the host side (NFS-style), for one run.
 
         Opened fresh per run so the host sees the storage engine's latest
         catalog and integrity tree; the setup cost (tree rebuild + anchor
-        check) happens against a throwaway meter.  Sharded deployments
-        pass each node's *engine* (whose device, master key and anchor
-        the host-side pager then shares) plus a per-node *rng_label*.
+        check) happens against a throwaway meter, and the returned
+        ``(db, pager, meter)`` then counts the run itself.  Without a
+        *node* the pager reads the primary on the host's own identity;
+        sharded deployments pass each *node*, whose identity then labels
+        the pager's rng and its integrity violations.
         """
-        if engine is None:
-            engine = self.storage_engine
-        if plain_device is None:
-            plain_device = self.plain_device
+        target = node if node is not None else self.nodes[0]
         if secure:
+            engine = target.engine
             master_key = engine.trusted_os.invoke(
                 "secure-storage", "get_master_key"
             )
@@ -845,24 +917,19 @@ class Deployment:
                 engine.block_device,
                 master_key,
                 _SharedAnchor(engine),
-                self.rng.fork(rng_label),
+                self.rng.fork(
+                    "host-pager" if node is None else f"host-pager-{node.node_id}"
+                ),
                 meter=Meter(),
                 cipher=self._cipher,
                 cache_pages=self.page_cache_pages,
             )
-            pager.on_violation = self._host_violation
+            pager.on_violation = self._node_violation(
+                "host-1" if node is None else node.node_id
+            )
         else:
-            pager = Pager(plain_device, meter=Meter())
-        return Database(PagedStore(pager, Meter())), pager
-
-    def _run_host_only(
-        self,
-        statement: A.Select,
-        secure: bool,
-        run_config: RunConfig | None = None,
-    ) -> RunResult:
-        run_config = run_config if run_config is not None else self.run_config
-        db, pager = self._host_only_db(secure)
+            pager = Pager(target.plain_device, meter=Meter())
+        db = Database(PagedStore(pager, Meter()))
         db.set_zone_maps(run_config.zone_maps)
         db.set_oblivious(run_config.oblivious)
         db.set_vectorized(run_config.vectorized)
@@ -874,6 +941,26 @@ class Deployment:
             pager.tree.meter = meter
             pager.tracer = self.tracer
             pager.trace_node = NODE_HOST
+        return db, pager, meter
+
+    @staticmethod
+    def _charge_enclave_pull(meter: Meter, pager) -> None:
+        """Enclave costs of a secure host-side pull, added to its meter.
+
+        Every page fetch exits/re-enters the enclave, and the Merkle tree
+        is resident in enclave memory for the whole run.
+        """
+        meter.enclave_transitions += 2 * meter.pages_read
+        meter.peak_memory_bytes += pager.tree_size_bytes()
+
+    def _run_host_only(
+        self,
+        statement: A.Select,
+        secure: bool,
+        run_config: RunConfig | None = None,
+    ) -> RunResult:
+        run_config = run_config if run_config is not None else self.run_config
+        db, pager, meter = self._host_only_db(secure, run_config)
 
         with self.tracer.span(
             SPAN_HOST_EXECUTE, node=NODE_HOST, enclave=secure
@@ -881,10 +968,7 @@ class Deployment:
             result = db.execute_statement(statement)
 
         if secure:
-            # Every page fetch exits/re-enters the enclave, and the Merkle
-            # tree is resident in enclave memory for the whole run.
-            meter.enclave_transitions += 2 * meter.pages_read
-            meter.peak_memory_bytes += pager.tree_size_bytes()
+            self._charge_enclave_pull(meter, pager)
         breakdown = self.cost_model.phase_breakdown(
             meter,
             platform="x86",
@@ -963,24 +1047,62 @@ class Deployment:
         assert batch_bytes is not None
         return batch_schedule(schema.row_count, payload_bytes, batch_bytes)
 
+    @staticmethod
+    def _scan_column_types(engine, ship) -> list[tuple[str, str]]:
+        """Declared types of the columns one filtering scan ships."""
+        schema = engine.db.store.catalog.table(ship.table)
+        return [(name, schema.column_type(name)) for name in ship.columns]
+
+    # -- node routing hooks (a sharded deployment overrides them) -------------
+
+    def _route_ship(
+        self, ship, manual, run_config: RunConfig, engines, host_meter: Meter
+    ) -> list[int]:
+        """Indices of the nodes one offloaded portion runs on: every node."""
+        return list(range(len(self.nodes)))
+
+    def _manual_fallback(self, manual) -> str | None:
+        """Why a manual split cannot run on these nodes (None: it can)."""
+        return None
+
+    def _node_attrs(self, node: StorageNode) -> dict:
+        """Span attributes naming *node*, when there is more than one."""
+        return {"shard": node.node_id} if len(self.nodes) > 1 else {}
+
+    @contextmanager
+    def _attributed(self, node: StorageNode):
+        """Re-raise integrity failures tagged with the owning node.
+
+        Only when there are several nodes: a one-node deployment's errors
+        pass through untouched.
+        """
+        try:
+            yield
+        except IntegrityError as exc:
+            if len(self.nodes) == 1 or node.node_id in str(exc):
+                raise
+            raise type(exc)(f"shard {node.node_id}: {exc}") from exc
+
     def _run_split(
         self, statement: A.Select, secure: bool, cpus: int, memory: int,
         manual=None, authorization=None, run_config: RunConfig | None = None,
     ) -> RunResult:
+        """Split execution (vcs / scs) over the storage nodes.
+
+        Each offloaded portion runs near the data on every node it is
+        routed to, its rows cross that node's attested channel, and the
+        join/agg runs on the host.  ``run_config.pipeline`` picks the ship
+        producer: :meth:`_ship_batches` (the streaming pipeline) or
+        :meth:`_ship_records` (the calibrated serial path).
+        """
         run_config = run_config if run_config is not None else self.run_config
-        if run_config.pipeline:
-            return self._run_split_pipelined(
-                statement, secure=secure, cpus=cpus, memory=memory,
-                run_config=run_config, manual=manual, authorization=authorization,
-            )
-        engine = self.storage_engine if secure else self.storage_engine_plain
-        # Every query path sets this explicitly from its run config, so the
-        # knob never leaks from one query into the next.
-        engine.set_zone_maps(run_config.zone_maps)
-        engine.set_oblivious(run_config.oblivious)
-        engine.set_vectorized(run_config.vectorized)
-        self.host_engine.set_oblivious(run_config.oblivious)
-        self.host_engine.set_vectorized(run_config.vectorized)
+        engines = [node.engine if secure else node.engine_plain for node in self.nodes]
+        self._set_knobs(run_config, engines)
+        notes: list[str] = []
+        fallback = self._manual_fallback(manual) if manual is not None else None
+        if fallback is not None:
+            notes.append(fallback)
+            manual = None
         if manual is not None:
             plan = None
         else:
@@ -998,137 +1120,68 @@ class Deployment:
             # resulting authorization in).
             auth = authorization
             if auth is None:
-                auth = self.monitor.authorize(
-                    self.database_name,
-                    client_key=self._client_fingerprint(),
-                    statement=statement,
-                    host_id="host-1",
-                    now=0,
-                    query_text=statement.to_sql(),
-                )
+                auth = self._authorize(statement, statement.to_sql())
             if manual is None:
                 statement = auth.statement
             session_key = auth.session.key
         monitor_breakdown = self.clock.breakdown.minus(clock_before)
 
         host_meter = self.host_engine.fresh_meter()
-        ship_meter = Meter()
-
+        lanes = [_Lane(node, engine, None) for node, engine in zip(self.nodes, engines)]
         self.host_engine.begin_session()
         if secure:
-            chan_host, chan_storage = channel_pair(
-                self.link, "host", "storage", session_key, host_meter, ship_meter,
-                tracer=self.tracer,
-            )
-
-        # Storage phase: run every offloaded portion with its own meter so
-        # portions can be scheduled across the storage CPUs.
-        from ..sql.records import encode_row
-
-        total_bytes = 0
-        scan_durations: list[float] = []
-        portion_meters: list[Meter] = []
-        storage_meter = Meter()
-        ships = manual.ships if manual is not None else plan.scans
-        in_realm = secure and self.armv9_realms
-        phase_ctx = self.tracer.span(
-            SPAN_STORAGE_PHASE, node=NODE_STORAGE, enclave=in_realm, portions=len(ships)
-        )
-        phase_span = phase_ctx.__enter__()
-        for ship in ships:
-            portion_meter = engine.fresh_meter()
-            portion_meters.append(portion_meter)
-            with self.tracer.span(
-                SPAN_NDP_FILTER, node=NODE_STORAGE, enclave=in_realm, table=ship.table
-            ) as portion_span:
-                if manual is not None:
-                    result = engine.db.execute(ship.sql)
-                    columns, rows = result.columns, result.rows
-                    encoded = [encode_row(r) for r in rows]
-                    nbytes = sum(map(len, encoded))
-                    portion_meter.note_memory(nbytes)
-                    table_name = ship.table
-                    column_types = self._infer_column_types(columns, rows)
-                else:
-                    columns, rows, nbytes, encoded = engine.execute_scan(ship)
-                    table_name = ship.table
-                    schema = engine.db.store.catalog.table(ship.table)
-                    column_types = [
-                        (name, schema.column_type(name)) for name in ship.columns
-                    ]
-                total_bytes += nbytes
-                portion_breakdown = self.cost_model.phase_breakdown(
-                    portion_meter, platform="arm", cores=1, memory_limit_bytes=memory,
-                    in_realm=in_realm,
+            for lane in lanes:
+                lane.channel = channel_pair(
+                    self.link, "host", lane.node.endpoint, session_key,
+                    host_meter, lane.ship_meter, tracer=self.tracer,
                 )
-                scan_durations.append(portion_breakdown.total_ns)
-                storage_meter.merge(portion_meter)
-                if secure:
-                    shipped_before = ship_meter.channel_bytes_encrypted
-                    with self.tracer.span(
-                        SPAN_CHANNEL_SHIP, node=NODE_STORAGE, table=table_name
-                    ) as ship_span:
-                        # Really push the bytes through the authenticated
-                        # channel (record framing mirrors the host's ingest
-                        # batching).  Rows were serialized once by the scan;
-                        # the ship loop only concatenates the slices.  The
-                        # receiver ingests rows out of band, so padded
-                        # records need no unwrap on the host side.
-                        schedule = None
-                        if fixed_ship_schedule(run_config.oblivious):
-                            schedule = self._ship_schedule(
-                                engine, table_name, record_rows=RECORD_ROWS
-                            )
-                        records = 0
-                        for start in range(0, max(1, len(rows)), RECORD_ROWS):
-                            payload = b"".join(encoded[start : start + RECORD_ROWS])
-                            if pads_channel(run_config.oblivious):
-                                raw = len(payload)
-                                payload = pad_frame(
-                                    payload,
-                                    target=(
-                                        schedule.frame_bytes if schedule else None
-                                    ),
-                                )
-                                ship_meter.bump(
-                                    "oblivious_pad_bytes", len(payload) - raw
-                                )
-                            chan_storage.send(payload, charge_time=False)
-                            chan_host.receive()
-                            records += 1
-                        if schedule is not None:
-                            # Top the record count up to the table's
-                            # predicate-independent bound with dummies, so
-                            # the channel trace length is fixed too.
-                            for _ in range(max(0, schedule.units - records)):
-                                filler = dummy_frame(schedule.frame_bytes)
-                                ship_meter.bump("oblivious_dummy_batches")
-                                ship_meter.bump("oblivious_pad_bytes", len(filler))
-                                chan_storage.send(filler, charge_time=False)
-                                chan_host.receive()
-                    shipped = ship_meter.channel_bytes_encrypted - shipped_before
-                    ship_span.set_sim_ns(
-                        shipped * self.cost_model.channel_crypto_ns_per_byte
-                    )
-                    ship_span.set_attrs(bytes=nbytes, rows=len(rows))
-                self.host_engine.receive_table(table_name, column_types, rows)
-            portion_span.set_sim_ns(portion_breakdown.total_ns)
-            portion_span.set_attrs(
-                rows=len(rows),
-                bytes=nbytes,
-                **{
-                    f"{category}_ns": ns
-                    for category, ns in sorted(
-                        portion_breakdown.by_category.items()
-                    )
-                },
-            )
 
-        phase_ctx.__exit__(None, None, None)
+        ships = manual.ships if manual is not None else plan.scans
+        produce = self._ship_batches if run_config.pipeline else self._ship_records
+        in_realm = secure and self.armv9_realms
+        portion_meters: list[Meter] = []
+        ingest = TimeBreakdown()
+        total_bytes = 0
+        total_batches = 0
+        shards = {"shards": len(self.nodes)} if len(self.nodes) > 1 else {}
+        with self.tracer.span(
+            SPAN_STORAGE_PHASE, node=NODE_STORAGE, enclave=in_realm,
+            portions=len(ships), **shards,
+        ) as phase_span:
+            for ship in ships:
+                targets = self._route_ship(ship, manual, run_config, engines, host_meter)
+                if not targets:
+                    # Every node proved the scan matches nothing; the host
+                    # table must still exist for the join/agg phase.
+                    self.host_engine.receive_table(
+                        ship.table, self._scan_column_types(engines[0], ship), []
+                    )
+                for lane in (lanes[target] for target in targets):
+                    # Each portion gets its own meter, so portions can be
+                    # scheduled across the node's storage CPUs.
+                    portion_meter = lane.engine.fresh_meter()
+                    portion_meters.append(portion_meter)
+                    with self.tracer.span(
+                        SPAN_NDP_FILTER, node=NODE_STORAGE, enclave=in_realm,
+                        table=ship.table, **self._node_attrs(lane.node),
+                    ) as portion_span, self._attributed(lane.node):
+                        shipped = produce(
+                            ship, lane, portion_meter, portion_span,
+                            host_meter=host_meter, run_config=run_config,
+                            memory=memory, in_realm=in_realm,
+                        )
+                    portion_span.set_sim_ns(shipped.duration_ns)
+                    lane.meter.merge(portion_meter)
+                    lane.durations.append(shipped.duration_ns)
+                    lane.serial_ns += shipped.serial_ns
+                    lane.ingest.merge(shipped.ingest)
+                    ingest.merge(shipped.ingest)
+                    total_bytes += shipped.nbytes
+                    total_batches += shipped.batches
 
         # Host phase: the full query over the shipped tables.
         host_statement = (
-            parse(manual.host_sql) if manual is not None else statement
+            self.parse_select(manual.host_sql) if manual is not None else statement
         )
         with self.tracer.span(
             SPAN_HOST_JOIN_AGG, node=NODE_HOST, enclave=secure
@@ -1136,38 +1189,57 @@ class Deployment:
             result = self.host_engine.run(host_statement)
             self.monitorless_cleanup()
 
-        # Storage wall time: LPT schedule of the serial portions, plus the
-        # (serial) channel encryption work.
-        storage_meter.merge(ship_meter)
-        work_breakdown = self.cost_model.phase_breakdown(
-            storage_meter, platform="arm", cores=1, memory_limit_bytes=memory,
-            in_realm=(secure and self.armv9_realms),
-        )
-        wall_ns = self._lpt_makespan(scan_durations, cpus)
-        extra_ns = max(0.0, work_breakdown.total_ns - sum(scan_durations))
-        storage_wall_ns = wall_ns + extra_ns
-        if work_breakdown.total_ns > 0:
-            storage_breakdown = work_breakdown.scaled(
-                storage_wall_ns / work_breakdown.total_ns
+        # Storage wall time, one formula per node: the LPT schedule of its
+        # portions over its CPUs, plus whatever its merged meters (and the
+        # host ingest overlapped into them) cost beyond the portions' stage
+        # sums — the serial path's channel crypto, and nonlinear charges
+        # such as memory-pressure spill.
+        storage_meter = Meter()
+        node_walls: list[float] = []
+        for lane in lanes:
+            merged = lane.meter.merge(lane.ship_meter)
+            work = self.cost_model.phase_breakdown(
+                merged, platform="arm", cores=1, memory_limit_bytes=memory,
+                in_realm=in_realm,
             )
-        else:
-            storage_breakdown = work_breakdown
-        # The phase's wall time is the LPT schedule, not the sum of the
-        # portion spans (extra CPUs overlap portions): stamp it explicitly.
+            # The same sum, rounded two ways: one node adds ingest category
+            # by category, several nodes add the totals.  Each pins its own
+            # calibrated figures (tests/test_split_golden.py), so both stay.
+            work_ns = (
+                work.merge(lane.ingest).total_ns if len(lanes) == 1
+                else work.total_ns + lane.ingest.total_ns
+            )
+            node_walls.append(
+                self._lpt_makespan(lane.durations, cpus)
+                + max(0.0, work_ns - lane.serial_ns)
+            )
+            storage_meter.merge(merged)
+        storage_breakdown = self._storage_phase_breakdown(
+            node_walls, storage_meter, memory, in_realm, ingest
+        )
+        # The phase's wall time is the schedule, not the sum of the portion
+        # spans (extra CPUs and nodes overlap portions): stamp it explicitly.
         phase_span.set_sim_ns(storage_breakdown.total_ns)
-        phase_span.set_attrs(bytes_shipped=total_bytes, cpus=cpus)
+        phase_span.set_attrs(
+            bytes_shipped=total_bytes, cpus=cpus, batches=total_batches,
+            pipelined=run_config.pipeline,
+        )
 
         host_breakdown = self.cost_model.phase_breakdown(
-            host_meter,
-            platform="x86",
-            in_enclave=secure,
+            host_meter, platform="x86", in_enclave=secure
         )
-        host_span.set_sim_ns(host_breakdown.total_ns)
+        # The join/agg phase is what the host did beyond the ingest work
+        # already overlapped into the storage phase above.
+        join_breakdown = (
+            host_breakdown.minus(ingest) if run_config.pipeline else host_breakdown
+        )
+        host_span.set_sim_ns(join_breakdown.total_ns)
         host_span.set_attrs(rows=len(result.rows))
         # Shipping overlaps with storage-side execution (the paper streams
         # records asynchronously): only the excess transfer time shows up.
+        messages = total_batches if run_config.pipeline else total_bytes // 65536
         transfer_ns = self.cost_model.net_transfer_ns(
-            total_bytes, messages=max(1, total_bytes // 65536)
+            total_bytes, messages=max(1, messages)
         )
         total = TimeBreakdown()
         total.merge(monitor_breakdown)
@@ -1180,7 +1252,7 @@ class Deployment:
             )
             if span is not None:
                 span.set_sim_ns(overflow)
-        total.merge(host_breakdown)
+        total.merge(join_breakdown)
         if secure:
             # Control-path cost: per-request TLS session establishment.
             total.add(CAT_POLICY, self.cost_model.tls_handshake_ns)
@@ -1198,323 +1270,257 @@ class Deployment:
             storage_meter=storage_meter,
             host_meter=host_meter,
             bytes_shipped=total_bytes,
-            plan_notes=(plan.notes if plan is not None else [manual.note]),
+            plan_notes=notes + (plan.notes if plan is not None else [manual.note]),
             portion_meters=portion_meters,
             monitor_breakdown=monitor_breakdown,
         )
 
-    def _run_split_pipelined(
-        self, statement: A.Select, secure: bool, cpus: int, memory: int,
-        run_config: RunConfig, manual=None, authorization=None,
-    ) -> RunResult:
-        """Streamed twin of :meth:`_run_split` (``RunConfig.pipeline``).
+    def _storage_phase_breakdown(
+        self, node_walls: list[float], storage_meter: Meter, memory: int,
+        in_realm: bool, ingest: TimeBreakdown | None = None,
+    ) -> TimeBreakdown:
+        """The storage phase's merged work, scaled to its wall time.
 
-        Every offloaded portion is executed as a stream of bounded
-        RecordBatches: the scan produces a batch, the channel encrypts it
-        (optionally zlib-compressed first), and the host ingests it —
-        and the three stages *overlap* across consecutive batches, so
-        the phase wall time is the pipeline makespan, not the serial
-        sum.  Stage durations come from the same cost model as the
-        serial path: each portion's scan / ship-crypto / host-ingest
-        meters are priced as a whole, then apportioned across its
-        batches by row and byte weights (totals are conserved).
+        The deterministic arbiter runs the nodes' walls concurrently, so
+        the phase takes as long as the slowest node; the categories keep
+        the shares of the merged meter (plus any overlapped *ingest*).
         """
-        engine = self.storage_engine if secure else self.storage_engine_plain
-        # Every query path sets this explicitly from its run config, so the
-        # knob never leaks from one query into the next.
-        engine.set_zone_maps(run_config.zone_maps)
-        engine.set_oblivious(run_config.oblivious)
-        engine.set_vectorized(run_config.vectorized)
-        self.host_engine.set_oblivious(run_config.oblivious)
-        self.host_engine.set_vectorized(run_config.vectorized)
-        if manual is not None:
-            plan = None
-        else:
-            with self.tracer.span(SPAN_PARTITION, node=NODE_HOST) as part_span:
-                plan = self.partitioner.partition(statement)
-                part_span.set_attrs(scans=len(plan.scans))
-
-        clock_before = self.clock.breakdown.copy()
-        session_key = self.rng.fork("adhoc-session").bytes(32)
-        if secure:
-            if not self._attested:
-                self.attest_all()
-            auth = authorization
-            if auth is None:
-                auth = self.monitor.authorize(
-                    self.database_name,
-                    client_key=self._client_fingerprint(),
-                    statement=statement,
-                    host_id="host-1",
-                    now=0,
-                    query_text=statement.to_sql(),
-                )
-            if manual is None:
-                statement = auth.statement
-            session_key = auth.session.key
-        monitor_breakdown = self.clock.breakdown.minus(clock_before)
-
-        host_meter = self.host_engine.fresh_meter()
-        ship_meter = Meter()
-
-        self.host_engine.begin_session()
-        if secure:
-            chan_host, chan_storage = channel_pair(
-                self.link, "host", "storage", session_key, host_meter, ship_meter,
-                tracer=self.tracer,
-            )
-
-        compress_level = run_config.compress_level if run_config.compress else 0
-        total_bytes = 0
-        total_batches = 0
-        ship_makespans: list[float] = []
-        per_ship_serial_ns = 0.0
-        portion_meters: list[Meter] = []
-        storage_meter = Meter()
-        ingest_breakdown = TimeBreakdown()
-        ships = manual.ships if manual is not None else plan.scans
-        in_realm = secure and self.armv9_realms
-        phase_ctx = self.tracer.span(
-            SPAN_STORAGE_PHASE, node=NODE_STORAGE, enclave=in_realm, portions=len(ships)
+        wall_ns = makespan_ns(arbitrate(
+            [SessionTask(index, wall) for index, wall in enumerate(node_walls)],
+            len(self.nodes),
+        ))
+        work = self.cost_model.phase_breakdown(
+            storage_meter, platform="arm", cores=1, memory_limit_bytes=memory,
+            in_realm=in_realm,
         )
-        phase_span = phase_ctx.__enter__()
-        for ship in ships:
-            portion_meter = engine.fresh_meter()
-            portion_meters.append(portion_meter)
-            ship_before = ship_meter.copy()
-            host_before = host_meter.copy()
+        if ingest is not None:
+            work.merge(ingest)
+        return work.scaled(wall_ns / work.total_ns) if work.total_ns > 0 else work
+
+    def _ship_records(
+        self, ship, lane: _Lane, portion_meter: Meter, span, *,
+        host_meter: Meter, run_config: RunConfig, memory: int, in_realm: bool,
+    ) -> _Shipped:
+        """Serial ship producer: materialize the portion, then ship its rows.
+
+        The calibrated paper path (``pipeline=False``): the rows cross the
+        channel in ``RECORD_ROWS``-row records once the scan is done, so
+        the portion's wall time is the scan alone; the channel crypto is
+        priced on the node's merged meter by :meth:`_run_split`.
+        """
+        engine = lane.engine
+        if isinstance(ship, ManualShip):
+            result = engine.db.execute(ship.sql)
+            rows = result.rows
+            encoded = [encode_row(r) for r in rows]
+            nbytes = sum(map(len, encoded))
+            portion_meter.note_memory(nbytes)
+            column_types = self._infer_column_types(result.columns, rows)
+        else:
+            _, rows, nbytes, encoded = engine.execute_scan(ship)
+            column_types = self._scan_column_types(engine, ship)
+        breakdown = self.cost_model.phase_breakdown(
+            portion_meter, platform="arm", cores=1, memory_limit_bytes=memory,
+            in_realm=in_realm,
+        )
+        if lane.channel is not None:
+            chan_host, chan_node = lane.channel
+            ship_meter = lane.ship_meter
+            shipped_before = ship_meter.channel_bytes_encrypted
             with self.tracer.span(
-                SPAN_NDP_FILTER, node=NODE_STORAGE, enclave=in_realm, table=ship.table
-            ) as portion_span:
-                table_name = ship.table
+                SPAN_CHANNEL_SHIP, node=NODE_STORAGE, table=ship.table,
+                **self._node_attrs(lane.node),
+            ) as ship_span:
+                # Really push the bytes through the authenticated channel
+                # (record framing mirrors the host's ingest batching).  Rows
+                # were serialized once by the scan; the ship loop only
+                # concatenates the slices.  The receiver ingests rows out of
+                # band, so padded records need no unwrap on the host side.
+                # Each node pads against its *own* catalog bound, so its
+                # channel trace is predicate-independent on its own.
                 schedule = None
-                fixed_rows = None
                 if fixed_ship_schedule(run_config.oblivious):
                     schedule = self._ship_schedule(
-                        engine, table_name, batch_bytes=run_config.batch_bytes
+                        engine, ship.table, record_rows=RECORD_ROWS
                     )
-                    fixed_rows = schedule.rows_per_unit
-                if manual is not None:
-                    columns, batches = engine.stream_sql(
-                        ship.sql,
-                        batch_bytes=run_config.batch_bytes,
-                        fixed_rows=fixed_rows,
-                    )
-                    column_types = None  # inferred from the first batch
-                else:
-                    columns, batches = engine.stream_scan(
-                        ship,
-                        batch_bytes=run_config.batch_bytes,
-                        fixed_rows=fixed_rows,
-                    )
-                    schema = engine.db.store.catalog.table(ship.table)
-                    column_types = [
-                        (name, schema.column_type(name)) for name in ship.columns
-                    ]
-                    self.host_engine.begin_table(table_name, column_types)
-
-                if schedule is not None:
-                    # Full tier: drain the scan before shipping.  Batch
-                    # boundaries fall at data-dependent points in the
-                    # page stream, so letting sends interleave with
-                    # reads would leak match positions through the
-                    # merged trace order even with every frame padded —
-                    # obliviousness trades the pipeline overlap away.
-                    batches = list(batches)
-                row_weights: list[int] = []
-                byte_weights: list[int] = []
-                ship_rows = 0
-                ship_bytes = 0
-                for batch in batches:
-                    if column_types is None:
-                        column_types = self._infer_column_types(
-                            columns, list(batch.rows)
-                        )
-                        self.host_engine.begin_table(table_name, column_types)
-                    frame, saved = pack_frame(batch.payload, compress_level)
+                records = 0
+                for start in range(0, max(1, len(rows)), RECORD_ROWS):
+                    payload = b"".join(encoded[start : start + RECORD_ROWS])
                     if pads_channel(run_config.oblivious):
-                        raw = len(frame)
-                        frame = pad_frame(
-                            frame,
-                            target=(
-                                schedule.frame_bytes if schedule else None
-                            ),
+                        raw = len(payload)
+                        payload = pad_frame(
+                            payload,
+                            target=(schedule.frame_bytes if schedule else None),
                         )
-                        ship_meter.bump("oblivious_pad_bytes", len(frame) - raw)
-                    ship_meter.bump("batches_shipped")
-                    if saved:
-                        ship_meter.bump("channel_bytes_saved", saved)
-                        ship_meter.bump("batch_bytes_compressed", batch.nbytes)
-                        host_meter.bump("batch_bytes_decompressed", batch.nbytes)
-                    if secure:
-                        chan_storage.send(frame, charge_time=False)
-                        received = chan_host.receive()
-                    else:
-                        received = frame
-                    if pads_channel(run_config.oblivious):
-                        received = unpad_frame(received)
-                    payload, _ = unpack_frame(received)
-                    self.host_engine.ingest_batch(table_name, payload)
-                    row_weights.append(batch.row_count)
-                    byte_weights.append(len(frame))
-                    ship_rows += batch.row_count
-                    ship_bytes += len(frame)
-                    if self.tracer.enabled:
-                        self.tracer.event(
-                            SPAN_SHIP_BATCH,
-                            node=NODE_STORAGE,
-                            table=table_name,
-                            seq=len(row_weights) - 1,
-                            rows=batch.row_count,
-                            bytes=len(frame),
-                            saved=saved,
-                        )
-                if column_types is None:
-                    # Empty manual portion: the host table must still exist.
-                    column_types = self._infer_column_types(columns, [])
-                    self.host_engine.begin_table(table_name, column_types)
+                        ship_meter.bump("oblivious_pad_bytes", len(payload) - raw)
+                    chan_node.send(payload, charge_time=False)
+                    chan_host.receive()
+                    records += 1
                 if schedule is not None:
-                    # Top the batch count up to the table's predicate-
-                    # independent bound with dummy frames so the channel
-                    # trace (count and sizes) is fixed; the host drops
-                    # them on unpad without an enclave entry.
-                    for _ in range(max(0, schedule.units - len(row_weights))):
+                    # Top the record count up to the table's predicate-
+                    # independent bound with dummies, so the channel trace
+                    # length is fixed too.
+                    for _ in range(max(0, schedule.units - records)):
                         filler = dummy_frame(schedule.frame_bytes)
-                        ship_meter.bump("batches_shipped")
                         ship_meter.bump("oblivious_dummy_batches")
                         ship_meter.bump("oblivious_pad_bytes", len(filler))
-                        if secure:
-                            chan_storage.send(filler, charge_time=False)
-                            dropped = chan_host.receive()
-                        else:
-                            dropped = filler
-                        assert unpad_frame(dropped) is None
-                        row_weights.append(0)
-                        byte_weights.append(len(filler))
-                        ship_bytes += len(filler)
-                self.host_engine.finish_table(table_name)
+                        chan_node.send(filler, charge_time=False)
+                        chan_host.receive()
+            shipped = ship_meter.channel_bytes_encrypted - shipped_before
+            ship_span.set_sim_ns(shipped * self.cost_model.channel_crypto_ns_per_byte)
+            ship_span.set_attrs(bytes=nbytes, rows=len(rows))
+        self.host_engine.receive_table(ship.table, column_types, rows)
+        span.set_attrs(
+            rows=len(rows),
+            bytes=nbytes,
+            **{
+                f"{category}_ns": ns
+                for category, ns in sorted(breakdown.by_category.items())
+            },
+        )
+        return _Shipped(breakdown.total_ns, breakdown.total_ns, nbytes)
 
-                total_bytes += ship_bytes
-                total_batches += len(row_weights)
-                # Price each stage's work for this portion as a whole
-                # (same cost model as the serial path), then split it
-                # across the portion's batches to feed the pipeline model.
-                portion_breakdown = self.cost_model.phase_breakdown(
-                    portion_meter, platform="arm", cores=1,
-                    memory_limit_bytes=memory, in_realm=in_realm,
-                )
-                ship_cost = self.cost_model.phase_breakdown(
-                    ship_meter.delta(ship_before), platform="arm", cores=1,
-                    memory_limit_bytes=memory, in_realm=in_realm,
-                )
-                ingest_cost = self.cost_model.phase_breakdown(
-                    host_meter.delta(host_before), platform="x86", in_enclave=secure
-                )
-                ingest_breakdown.merge(ingest_cost)
-                timings = [
-                    BatchTiming(scan_ns=s, ship_ns=c, ingest_ns=h)
-                    for s, c, h in zip(
-                        apportion_ns(portion_breakdown.total_ns, row_weights),
-                        apportion_ns(ship_cost.total_ns, byte_weights),
-                        apportion_ns(ingest_cost.total_ns, row_weights),
-                    )
-                ]
-                serial_ns = (
-                    portion_breakdown.total_ns
-                    + ship_cost.total_ns
-                    + ingest_cost.total_ns
-                )
-                makespan = pipelined_ns(timings) if timings else serial_ns
-                ship_makespans.append(makespan)
-                per_ship_serial_ns += serial_ns
-                storage_meter.merge(portion_meter)
-            portion_span.set_sim_ns(makespan)
-            portion_span.set_attrs(
-                rows=ship_rows,
-                bytes=ship_bytes,
-                batches=len(row_weights),
-                serial_ns=serial_ns,
+    def _ship_batches(
+        self, ship, lane: _Lane, portion_meter: Meter, span, *,
+        host_meter: Meter, run_config: RunConfig, memory: int, in_realm: bool,
+    ) -> _Shipped:
+        """Streaming ship producer (``RunConfig.pipeline``).
+
+        The portion runs as a stream of bounded RecordBatches: the scan
+        produces a batch, the channel encrypts it (optionally
+        zlib-compressed first), and the host ingests it — and the three
+        stages *overlap* across consecutive batches, so the portion's wall
+        time is the pipeline makespan, not the serial sum.  Each stage's
+        meter slice is priced as a whole by the same cost model as the
+        serial path, then apportioned across the batches by row and byte
+        weights (totals are conserved).
+        """
+        engine = lane.engine
+        secure = lane.channel is not None
+        ship_meter = lane.ship_meter
+        ship_before = ship_meter.copy()
+        host_before = host_meter.copy()
+        table_name = ship.table
+        schedule = None
+        fixed_rows = None
+        if fixed_ship_schedule(run_config.oblivious):
+            schedule = self._ship_schedule(
+                engine, table_name, batch_bytes=run_config.batch_bytes
             )
-
-        phase_ctx.__exit__(None, None, None)
-
-        # Host phase: the full query over the (already ingested) tables.
-        host_statement = (
-            parse(manual.host_sql) if manual is not None else statement
-        )
-        with self.tracer.span(
-            SPAN_HOST_JOIN_AGG, node=NODE_HOST, enclave=secure
-        ) as host_span:
-            result = self.host_engine.run(host_statement)
-            self.monitorless_cleanup()
-
-        # Phase wall time: LPT schedule of the per-portion pipelined
-        # makespans, plus whatever the merged meters cost beyond the
-        # per-portion slices (nonlinear charges such as memory-pressure
-        # spill are priced on the merged meter, exactly as serially).
-        storage_meter.merge(ship_meter)
-        work_breakdown = self.cost_model.phase_breakdown(
-            storage_meter, platform="arm", cores=1, memory_limit_bytes=memory,
-            in_realm=(secure and self.armv9_realms),
-        )
-        host_breakdown = self.cost_model.phase_breakdown(
-            host_meter, platform="x86", in_enclave=secure,
-        )
-        combined = work_breakdown.copy().merge(ingest_breakdown)
-        wall_ns = self._lpt_makespan(ship_makespans, cpus)
-        extra_ns = max(0.0, combined.total_ns - per_ship_serial_ns)
-        phase_wall_ns = wall_ns + extra_ns
-        if combined.total_ns > 0:
-            storage_breakdown = combined.scaled(phase_wall_ns / combined.total_ns)
+            fixed_rows = schedule.rows_per_unit
+        if isinstance(ship, ManualShip):
+            columns, batches = engine.stream_sql(
+                ship.sql, batch_bytes=run_config.batch_bytes, fixed_rows=fixed_rows
+            )
+            column_types = None  # inferred from the first batch
         else:
-            storage_breakdown = combined
-        phase_span.set_sim_ns(storage_breakdown.total_ns)
-        phase_span.set_attrs(
-            bytes_shipped=total_bytes, cpus=cpus, batches=total_batches,
-            pipelined=True,
-        )
-
-        # The join/agg phase is what the host did beyond the ingest work
-        # already overlapped into the storage phase above.
-        join_breakdown = host_breakdown.minus(ingest_breakdown)
-        host_span.set_sim_ns(join_breakdown.total_ns)
-        host_span.set_attrs(rows=len(result.rows))
-
-        transfer_ns = self.cost_model.net_transfer_ns(
-            total_bytes, messages=max(1, total_batches)
-        )
-        total = TimeBreakdown()
-        total.merge(monitor_breakdown)
-        total.merge(storage_breakdown)
-        overflow = transfer_ns - storage_breakdown.total_ns
-        if overflow > 0:
-            total.add(CAT_NETWORK, overflow)
-            span = self.tracer.event(
-                SPAN_CHANNEL_TRANSFER, node=NODE_NETWORK, bytes=total_bytes
+            columns, batches = engine.stream_scan(
+                ship, batch_bytes=run_config.batch_bytes, fixed_rows=fixed_rows
             )
-            if span is not None:
-                span.set_sim_ns(overflow)
-        total.merge(join_breakdown)
-        if secure:
-            total.add(CAT_POLICY, self.cost_model.tls_handshake_ns)
-            span = self.tracer.event(SPAN_SESSION_SETUP, node=NODE_HOST)
-            if span is not None:
-                span.set_sim_ns(self.cost_model.tls_handshake_ns)
+            column_types = self._scan_column_types(engine, ship)
+            self.host_engine.begin_table(table_name, column_types)
+        if schedule is not None:
+            # Full tier: drain the scan before shipping.  Batch boundaries
+            # fall at data-dependent points in the page stream, so letting
+            # sends interleave with reads would leak match positions
+            # through the merged trace order even with every frame padded
+            # — obliviousness trades the pipeline overlap away.
+            batches = list(batches)
+        compress_level = run_config.compress_level if run_config.compress else 0
+        row_weights: list[int] = []
+        byte_weights: list[int] = []
+        ship_rows = 0
+        ship_bytes = 0
+        for batch in batches:
+            if column_types is None:
+                column_types = self._infer_column_types(columns, list(batch.rows))
+                self.host_engine.begin_table(table_name, column_types)
+            frame, saved = pack_frame(batch.payload, compress_level)
+            if pads_channel(run_config.oblivious):
+                raw = len(frame)
+                frame = pad_frame(
+                    frame, target=(schedule.frame_bytes if schedule else None)
+                )
+                ship_meter.bump("oblivious_pad_bytes", len(frame) - raw)
+            ship_meter.bump("batches_shipped")
+            if saved:
+                ship_meter.bump("channel_bytes_saved", saved)
+                ship_meter.bump("batch_bytes_compressed", batch.nbytes)
+                host_meter.bump("batch_bytes_decompressed", batch.nbytes)
+            if secure:
+                chan_host, chan_node = lane.channel
+                chan_node.send(frame, charge_time=False)
+                received = chan_host.receive()
+            else:
+                received = frame
+            if pads_channel(run_config.oblivious):
+                received = unpad_frame(received)
+            payload, _ = unpack_frame(received)
+            self.host_engine.ingest_batch(table_name, payload)
+            row_weights.append(batch.row_count)
+            byte_weights.append(len(frame))
+            ship_rows += batch.row_count
+            ship_bytes += len(frame)
+            if self.tracer.enabled:
+                self.tracer.event(
+                    SPAN_SHIP_BATCH, node=NODE_STORAGE, table=table_name,
+                    seq=len(row_weights) - 1, rows=batch.row_count,
+                    bytes=len(frame), saved=saved, **self._node_attrs(lane.node),
+                )
+        if column_types is None:
+            # Empty manual portion: the host table must still exist.
+            column_types = self._infer_column_types(columns, [])
+            self.host_engine.begin_table(table_name, column_types)
+        if schedule is not None:
+            # Top the batch count up to the table's predicate-independent
+            # bound with dummy frames so the channel trace (count and
+            # sizes) is fixed; the host drops them on unpad without an
+            # enclave entry.
+            for _ in range(max(0, schedule.units - len(row_weights))):
+                filler = dummy_frame(schedule.frame_bytes)
+                ship_meter.bump("batches_shipped")
+                ship_meter.bump("oblivious_dummy_batches")
+                ship_meter.bump("oblivious_pad_bytes", len(filler))
+                if secure:
+                    chan_host, chan_node = lane.channel
+                    chan_node.send(filler, charge_time=False)
+                    dropped = chan_host.receive()
+                else:
+                    dropped = filler
+                assert unpad_frame(dropped) is None
+                row_weights.append(0)
+                byte_weights.append(len(filler))
+                ship_bytes += len(filler)
+        self.host_engine.finish_table(table_name)
 
-        return RunResult(
-            config="scs" if secure else "vcs",
-            columns=result.columns,
-            rows=result.rows,
-            breakdown=total,
-            storage_breakdown=storage_breakdown,
-            host_breakdown=host_breakdown,
-            storage_meter=storage_meter,
-            host_meter=host_meter,
-            bytes_shipped=total_bytes,
-            plan_notes=(plan.notes if plan is not None else [manual.note]),
-            portion_meters=portion_meters,
-            monitor_breakdown=monitor_breakdown,
+        # Price each stage's work for this portion as a whole, then split
+        # it across the portion's batches to feed the pipeline model.
+        scan_cost = self.cost_model.phase_breakdown(
+            portion_meter, platform="arm", cores=1, memory_limit_bytes=memory,
+            in_realm=in_realm,
         )
+        ship_cost = self.cost_model.phase_breakdown(
+            ship_meter.delta(ship_before), platform="arm", cores=1,
+            memory_limit_bytes=memory, in_realm=in_realm,
+        )
+        ingest_cost = self.cost_model.phase_breakdown(
+            host_meter.delta(host_before), platform="x86", in_enclave=secure
+        )
+        timings = [
+            BatchTiming(scan_ns=s, ship_ns=c, ingest_ns=h)
+            for s, c, h in zip(
+                apportion_ns(scan_cost.total_ns, row_weights),
+                apportion_ns(ship_cost.total_ns, byte_weights),
+                apportion_ns(ingest_cost.total_ns, row_weights),
+            )
+        ]
+        serial_ns = scan_cost.total_ns + ship_cost.total_ns + ingest_cost.total_ns
+        makespan = pipelined_ns(timings) if timings else serial_ns
+        span.set_attrs(
+            rows=ship_rows, bytes=ship_bytes, batches=len(row_weights),
+            serial_ns=serial_ns,
+        )
+        return _Shipped(makespan, serial_ns, ship_bytes, len(row_weights), ingest_cost)
 
     def monitorless_cleanup(self) -> None:
         """End the host session (wipes enclave temp tables)."""
@@ -1530,9 +1536,7 @@ class Deployment:
         run_config: RunConfig | None = None,
     ) -> RunResult:
         run_config = run_config if run_config is not None else self.run_config
-        self.storage_engine.set_zone_maps(run_config.zone_maps)
-        self.storage_engine.set_oblivious(run_config.oblivious)
-        self.storage_engine.set_vectorized(run_config.vectorized)
+        self._set_knobs(run_config, [self.storage_engine])
         meter = self.storage_engine.fresh_meter()
         with self.tracer.span(
             SPAN_STORAGE_PHASE,

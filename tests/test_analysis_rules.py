@@ -311,6 +311,18 @@ class TestARCH001Layering:
         )
         assert result.clean
 
+    @pytest.mark.parametrize("package", ["stream", "oblivious"])
+    def test_shard_importing_ship_machinery_triggers(self, tmp_path, package):
+        # The ship producers live only in core's split path; a shard
+        # module importing them would fork a second copy.
+        result = run_tree(
+            tmp_path,
+            {"repro/shard/x.py": f"from ..{package} import pack_frame\n"},
+            select=["ARCH001"],
+        )
+        assert rule_ids(result) == ["ARCH001"]
+        assert f"may not import 'repro.{package}'" in result.findings[0].message
+
 
 class TestARCH002EnclaveBoundary:
     def test_untrusted_import_of_securepager_triggers(self, tmp_path):

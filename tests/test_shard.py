@@ -30,7 +30,7 @@ from repro.shard import (
     range_bounds,
 )
 from repro.sim import Meter
-from repro.telemetry import SPAN_OFFLOAD_PLAN
+from repro.telemetry import SPAN_OFFLOAD_PLAN, SPAN_STORAGE_PHASE
 from repro.tpch import ALL_QUERIES
 
 SF = 0.001
@@ -382,6 +382,24 @@ class TestTamperAttribution:
             "SELECT n_name FROM nation ORDER BY n_name", "scs"
         )
         assert len(result.rows) == 25
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("pipeline", [False, True])
+    def test_failed_query_closes_its_storage_phase(self, shards, pipeline):
+        deployment = _build(shards)
+        tracer = deployment.enable_tracing()
+        node = deployment.nodes[-1]
+        victim = node.engine.db.store.pages_of("lineitem")[0]
+        node.secure_device.corrupt(victim, offset=100)
+        with pytest.raises(IntegrityError):
+            deployment.run_query(
+                SHAPED_QUERIES["filter-scan"], "scs",
+                run_config=RunConfig(pipeline=pipeline),
+            )
+        (phase,) = tracer.last_trace().find(SPAN_STORAGE_PHASE)
+        assert phase.status == "error:IntegrityError"
+        assert phase.end_sim_ns is not None
+        assert phase.end_wall_ns is not None
 
 
 # ---------------------------------------------------------------------------
